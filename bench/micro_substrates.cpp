@@ -114,6 +114,23 @@ void BM_FadingGains(benchmark::State& state) {
 }
 BENCHMARK(BM_FadingGains)->Arg(100);
 
+// One aggregation's worth of gain lookups: a 32-member cohort drawn from a
+// population of state.range(0) workers. Counter-keyed gains make this
+// independent of the population size.
+void BM_FadingGain(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  channel::FadingChannel ch(n, {});
+  std::size_t round = 0;
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < 32; ++i) sum += ch.gain((i * 31337) % n, round);
+    ++round;
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
+}
+BENCHMARK(BM_FadingGain)->Arg(1000000);
+
 void BM_EventQueue(benchmark::State& state) {
   for (auto _ : state) {
     sim::EventQueue q;

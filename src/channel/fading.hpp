@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -17,6 +18,10 @@ namespace airfedga::channel {
 /// (Eq. 47) and blow up the denoising error. The paper does not model
 /// deep-fade exclusion, so we truncate — the same practical fix used in the
 /// AirComp literature it builds on.
+///
+/// Each gain is a counter-keyed draw: a pure function of (seed, round,
+/// worker) computed in O(1) with no stream history, so a round's
+/// aggregation reads only its members' gains however large the population.
 class FadingChannel {
  public:
   struct Config {
@@ -42,19 +47,25 @@ class FadingChannel {
   /// when path loss is disabled).
   [[nodiscard]] const std::vector<double>& large_scale() const { return large_scale_; }
 
-  /// Gains for all workers at the given round. Deterministic per
-  /// (seed, round): repeated calls return identical vectors.
+  /// Gains for all workers at the given round, `gains(round)[w] ==
+  /// gain(w, round)`. O(N); only whole-population scans need it.
   [[nodiscard]] std::vector<double> gains(std::size_t round) const;
 
-  /// Gain of a single worker at a round.
+  /// Gain of a single worker at a round in O(1): max(min_gain,
+  /// large_scale[w] * F^-1(u)) with F the Rayleigh CDF and u in (0, 1]
+  /// keyed on (seed, round, worker).
   [[nodiscard]] double gain(std::size_t worker, std::size_t round) const;
 
   [[nodiscard]] std::size_t num_workers() const { return n_; }
   [[nodiscard]] const Config& config() const { return cfg_; }
 
  private:
+  [[nodiscard]] std::uint64_t round_key(std::size_t round) const;
+  [[nodiscard]] double gain_at(std::uint64_t round_key, std::size_t worker) const;
+
   std::size_t n_;
   Config cfg_;
+  std::uint64_t key_;  ///< root of the per-(round, worker) draw keys
   std::vector<double> large_scale_;
 };
 

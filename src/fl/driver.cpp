@@ -444,7 +444,6 @@ obs::MetricsSnapshot Driver::metrics_snapshot() {
 core::PowerControlResult Driver::power_for_group(const std::vector<std::size_t>& members,
                                                  std::size_t round) {
   if (members.empty()) throw std::invalid_argument("power_for_group: empty group");
-  const auto& gains = substrate_->gains(round);
   core::PowerControlInput in;
   in.sigma0_sq = cfg_->aircomp.sigma0_sq;
   double w_sq = 0.0;
@@ -455,7 +454,7 @@ core::PowerControlResult Driver::power_for_group(const std::vector<std::size_t>&
       throw std::logic_error("power_for_group: member has no trained local model");
     w_sq = std::max(w_sq, w.model_norm_sq());
     group_data += static_cast<double>(w.data_size());
-    in.gains.push_back(gains.at(m));
+    in.gains.push_back(substrate_->gain(m, round));
     in.data_sizes.push_back(static_cast<double>(w.data_size()));
     in.energy_caps.push_back(cfg_->energy_cap);
   }
@@ -468,8 +467,7 @@ std::vector<float> Driver::aircomp_aggregate(const std::vector<std::size_t>& mem
                                              std::span<const float> w_prev, std::size_t round,
                                              double& energy_joules) {
   const auto pc = power_for_group(members, round);
-  const auto& gains = substrate_->gains(round);
-  const auto csi = substrate_->csi_scales(round);
+  const bool imperfect_csi = substrate_->imperfect_csi();
 
   channel::AirCompChannel::Input in;
   in.w_prev = w_prev;
@@ -480,10 +478,11 @@ std::vector<float> Driver::aircomp_aggregate(const std::vector<std::size_t>& mem
     const Worker& w = worker(m);
     in.local_models.push_back(w.local_model());
     in.data_sizes.push_back(static_cast<double>(w.data_size()));
-    in.gains.push_back(gains.at(m));
-    if (!csi.empty()) {
-      in.csi_scale.push_back(csi[m]);
-      csi_hist_->record(csi[m]);
+    in.gains.push_back(substrate_->gain(m, round));
+    if (imperfect_csi) {
+      const double scale = substrate_->csi_scale(m, round);
+      in.csi_scale.push_back(scale);
+      csi_hist_->record(scale);
     }
   }
   auto out = aircomp_.aggregate(in);

@@ -287,7 +287,7 @@ class Driver {
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot();
 
   /// Per-round power control (Alg. 2) for a group about to aggregate:
-  /// gathers this round's gains and member model-norm bound W_t, and
+  /// gathers the members' gains this round and model-norm bound W_t, and
   /// returns (sigma*, eta*, C).
   core::PowerControlResult power_for_group(const std::vector<std::size_t>& members,
                                            std::size_t round);

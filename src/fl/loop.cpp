@@ -1,6 +1,7 @@
 #include "fl/loop.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -24,15 +25,23 @@ const char* trigger_slug(TriggerKind t) {
 
 Metrics Mechanism::run(const FLConfig& cfg) {
   check(cfg);  // knob validation precedes any run-state construction
-  Driver driver(cfg);
-  SchedulingLoop loop(driver, *this);
-  return loop.run();
+  if (cfg.trace) obs::enable();  // arm loop.setup; the Driver would enable it too late
+  std::optional<Driver> driver;
+  std::optional<SchedulingLoop> loop;
+  {
+    // The O(population) run state: the Driver's per-worker vectors, the
+    // substrate, make_cohorts and the cohort index.
+    obs::Span span("loop", "loop.setup");
+    driver.emplace(cfg);
+    loop.emplace(*driver, *this);
+  }
+  return loop->run();
 }
 
 void Mechanism::check(const FLConfig&) const {}
 
-std::vector<std::size_t> Mechanism::select(SchedulingLoop& loop, std::size_t cohort,
-                                           std::size_t /*round*/) {
+std::span<const std::size_t> Mechanism::select(SchedulingLoop& loop, std::size_t cohort,
+                                               std::size_t /*round*/) {
   return loop.cohorts().at(cohort);
 }
 
@@ -93,6 +102,17 @@ std::vector<std::size_t> SchedulingLoop::filter_selectable(std::vector<std::size
   return kept;
 }
 
+void SchedulingLoop::schedule_live(double time, int kind, std::size_t actor) {
+  ++live_;
+  queue_.schedule(time, kind, actor);
+}
+
+void SchedulingLoop::park(std::size_t j) {
+  if (idle_[j]) return;
+  idle_[j] = 1;
+  ++idle_count_;
+}
+
 void SchedulingLoop::seed_queue() {
   // Availability traces drive themselves: each worker's next transition is
   // scheduled on pop, so the queue holds at most one substrate event per
@@ -120,7 +140,7 @@ void SchedulingLoop::seed_queue() {
       for (std::size_t j = 0; j < cohorts_.size(); ++j) {
         active_[j] = filter_selectable(cohorts_[j], 0.0);
         if (realism_ && active_[j].empty()) {
-          idle_[j] = 1;
+          park(j);
           continue;
         }
         driver_.begin_training(active_[j], server_->global_model(),
@@ -128,7 +148,7 @@ void SchedulingLoop::seed_queue() {
       }
       for (std::size_t i = 0; i < driver_.num_workers(); ++i) {
         if (realism_ && !substrate_->selectable(i, 0.0)) continue;
-        queue_.schedule(local_times_[i], kEvReady, i);
+        schedule_live(local_times_[i], kEvReady, i);
       }
       break;
     case TriggerKind::kReadyBuffer: {
@@ -155,6 +175,7 @@ Metrics SchedulingLoop::run() {
     if (queue_.peek_time() > cfg.time_budget) break;
     const auto ev = queue_.pop();
     pending_hist_->record(static_cast<double>(queue_.size()));
+    if (ev.kind != kEvSubstrate) --live_;
     if (ev.kind == kEvReady) {
       on_ready(ev);
     } else if (ev.kind == kEvSubstrate) {
@@ -162,6 +183,9 @@ Metrics SchedulingLoop::run() {
     } else if (!on_aggregate(ev)) {
       break;
     }
+    // Only self-rescheduling availability toggles can remain: nothing
+    // trains, uploads, or waits to restart, so no aggregation can follow.
+    if (live_ == 0 && idle_count_ == 0) break;
   }
   metrics_.set_final_model(server_->model_vector());
   metrics_.set_engine_stats(driver_.engine_stats());
@@ -169,20 +193,19 @@ Metrics SchedulingLoop::run() {
   return std::move(metrics_);
 }
 
-std::vector<std::size_t> SchedulingLoop::sample_cohort(std::vector<std::size_t> members,
+std::vector<std::size_t> SchedulingLoop::sample_cohort(std::span<const std::size_t> members,
                                                        std::size_t round,
                                                        std::size_t cohort) const {
+  obs::Span span("loop", "loop.sample_cohort");
   const std::size_t k = driver_.config().cohort_size;
-  if (k == 0 || members.size() <= k) return members;
+  if (k == 0 || members.size() <= k) return {members.begin(), members.end()};
   // One self-contained stream per (round, cohort): reproducible from the
   // config alone, uncorrelated with the weight/substrate streams.
   util::Rng rng(util::splitmix64(driver_.config().seed ^
                                  (0xC04052ULL + round * 0x9E3779B1ULL + cohort * 0x85EBCA77ULL)));
-  auto pos = rng.sample_without_replacement(members.size(), k);
-  std::sort(pos.begin(), pos.end());  // keep members in selection order
   std::vector<std::size_t> picked;
-  picked.reserve(k);
-  for (auto p : pos) picked.push_back(members[p]);
+  rng.sample_sorted(members.size(), k, picked);  // ascending: members keep selection order
+  for (auto& p : picked) p = members[p];
   return picked;
 }
 
@@ -197,7 +220,7 @@ void SchedulingLoop::start_sync_cycle() {
       if (members.empty()) {
         // Nobody online: retry this same round once availability returns.
         --cycle_;
-        idle_[0] = 1;
+        park(0);
         return;
       }
     }
@@ -206,7 +229,7 @@ void SchedulingLoop::start_sync_cycle() {
     latency_hist_->record(t_agg - queue_.now());
     active_[0] = std::move(members);
     driver_.begin_training(active_[0], server_->global_model(), t_agg);
-    queue_.schedule(t_agg, kEvAggregate, 0);
+    schedule_live(t_agg, kEvAggregate, 0);
     return;
   }
 }
@@ -219,7 +242,7 @@ void SchedulingLoop::start_timer_cycle(std::size_t cohort, double start) {
   if (realism_) {
     members = filter_selectable(std::move(members), start);
     if (members.empty()) {  // cohort waits for an availability event
-      idle_[cohort] = 1;
+      park(cohort);
       return;
     }
   }
@@ -227,19 +250,19 @@ void SchedulingLoop::start_timer_cycle(std::size_t cohort, double start) {
   latency_hist_->record(t_agg - start);
   active_[cohort] = std::move(members);
   driver_.begin_training(active_[cohort], server_->global_model(), t_agg);
-  queue_.schedule(t_agg, kEvAggregate, cohort);
+  schedule_live(t_agg, kEvAggregate, cohort);
 }
 
 void SchedulingLoop::start_ready_cycle(std::size_t cohort, double start) {
   active_[cohort] = filter_selectable(cohorts_[cohort], start);
   if (realism_ && active_[cohort].empty()) {  // wait for an availability event
-    idle_[cohort] = 1;
+    park(cohort);
     return;
   }
   const double t_agg = policy_.aggregate_time(*this, cohort, active_[cohort], start);
   latency_hist_->record(t_agg - start);
   driver_.begin_training(active_[cohort], server_->global_model(), t_agg);
-  for (auto m : active_[cohort]) queue_.schedule(start + local_times_[m], kEvReady, m);
+  for (auto m : active_[cohort]) schedule_live(start + local_times_[m], kEvReady, m);
 }
 
 void SchedulingLoop::start_buffer_cycle(const std::vector<std::size_t>& members, double start) {
@@ -247,7 +270,7 @@ void SchedulingLoop::start_buffer_cycle(const std::vector<std::size_t>& members,
     if (realism_ && !substrate_->selectable(m, start)) {
       // The worker sits out until its availability event restarts it
       // (buffer cohorts are singletons, so the idle slot is the worker's).
-      idle_[cohort_of_[m]] = 1;
+      park(cohort_of_[m]);
       continue;
     }
     const std::vector<std::size_t> solo{m};
@@ -258,7 +281,7 @@ void SchedulingLoop::start_buffer_cycle(const std::vector<std::size_t>& members,
     const double deadline = t_ready + policy_.upload_seconds(*this, solo, t_ready);
     latency_hist_->record(deadline - start);
     driver_.begin_training(solo, server_->global_model(), deadline);
-    queue_.schedule(t_ready, kEvReady, m);
+    schedule_live(t_ready, kEvReady, m);
   }
 }
 
@@ -270,8 +293,8 @@ void SchedulingLoop::on_ready(const sim::Event& ev) {
     // (active_[j] == cohorts_[j] on a static substrate; under churn it is
     // the subset that joined this cycle.)
     if (server_->ready(j, active_[j].size()))
-      queue_.schedule(ev.time + policy_.upload_seconds(*this, active_[j], ev.time),
-                      kEvAggregate, j);
+      schedule_live(ev.time + policy_.upload_seconds(*this, active_[j], ev.time),
+                    kEvAggregate, j);
     return;
   }
   // kReadyBuffer: queue the upload and let the policy decide whether the
@@ -281,7 +304,7 @@ void SchedulingLoop::on_ready(const sim::Event& ev) {
     const double t_agg = ev.time + policy_.upload_seconds(*this, buffer_, ev.time);
     flights_.push_back(std::move(buffer_));
     buffer_.clear();
-    queue_.schedule(t_agg, kEvAggregate, flights_.size() - 1);
+    schedule_live(t_agg, kEvAggregate, flights_.size() - 1);
   }
 }
 
@@ -397,6 +420,7 @@ void SchedulingLoop::on_substrate(const sim::Event& ev) {
       trigger_ == TriggerKind::kRoundBarrier ? 0 : cohort_of_[ev.actor];
   if (!idle_[j]) return;
   idle_[j] = 0;
+  --idle_count_;
   switch (trigger_) {
     case TriggerKind::kRoundBarrier:
       start_sync_cycle();

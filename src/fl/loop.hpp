@@ -78,12 +78,16 @@ class Mechanism {
   /// once per run, after the loop computed local_times().
   virtual data::WorkerGroups make_cohorts(SchedulingLoop& loop) = 0;
 
-  /// Members of `cohort` participating in the cycle that aggregates as
-  /// global round `round`. Default: the full cohort. Returning an empty
-  /// vector skips the cycle (kRoundBarrier advances to the next round
-  /// without consuming virtual time, mirroring Dynamic's defensive skip).
-  virtual std::vector<std::size_t> select(SchedulingLoop& loop, std::size_t cohort,
-                                          std::size_t round);
+  /// Members of `cohort` eligible for the cycle that aggregates as global
+  /// round `round`, in ascending order; the loop then samples
+  /// FLConfig::cohort_size of them. Default: a view of the full cohort (no
+  /// copy, so sampling stays O(cohort_size) at any population). An
+  /// override returns a view of its own buffer, valid until the next
+  /// select() call. An empty view skips the cycle (kRoundBarrier advances
+  /// to the next round without consuming virtual time, mirroring Dynamic's
+  /// defensive skip).
+  virtual std::span<const std::size_t> select(SchedulingLoop& loop, std::size_t cohort,
+                                              std::size_t round);
 
   // -- aggregation-trigger hooks --------------------------------------
   /// Which trigger family drives this mechanism's aggregation events.
@@ -175,12 +179,17 @@ class SchedulingLoop {
 
   void seed_queue();
   // Deterministic per-(round, cohort) subsampling down to
-  // FLConfig::cohort_size; identity when the knob is 0 or the selection is
-  // already small enough. The draw's RNG stream depends only on (seed,
-  // round, cohort), never on engine state, so it is thread- and
-  // backend-invariant.
-  std::vector<std::size_t> sample_cohort(std::vector<std::size_t> members, std::size_t round,
+  // FLConfig::cohort_size by Floyd's algorithm over positions in
+  // `members` (O(cohort_size), order kept); a plain copy when the knob is
+  // 0 or the selection is already small enough. The draw's RNG stream
+  // depends only on (seed, round, cohort), never on engine state, so it is
+  // thread- and backend-invariant.
+  std::vector<std::size_t> sample_cohort(std::span<const std::size_t> members, std::size_t round,
                                          std::size_t cohort) const;
+  // Schedules a READY or aggregation event and counts it as live.
+  void schedule_live(double time, int kind, std::size_t actor);
+  // Marks cohort `j` as waiting for an availability event.
+  void park(std::size_t j);
   void start_sync_cycle();
   void start_timer_cycle(std::size_t cohort, double start);
   void start_ready_cycle(std::size_t cohort, double start);
@@ -221,6 +230,11 @@ class SchedulingLoop {
   /// for a kEvSubstrate availability event instead of spinning or retiring
   /// (kRoundBarrier uses slot 0; kReadyBuffer's cohorts are singletons).
   std::vector<char> idle_;
+  std::size_t idle_count_ = 0;  ///< set entries of idle_
+  /// READY and aggregation events scheduled but not yet popped. With none
+  /// live and no cohort idle, no aggregation can ever happen again: the
+  /// run ends instead of popping availability toggles until the budget.
+  std::size_t live_ = 0;
   /// Observability instruments, resolved once from the driver's registry
   /// (updates are then lock-free). Both record *virtual*-time quantities,
   /// so their contents are deterministic for a given scenario.

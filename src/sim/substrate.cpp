@@ -1,10 +1,13 @@
 #include "sim/substrate.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numbers>
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace airfedga::sim {
@@ -12,8 +15,8 @@ namespace airfedga::sim {
 namespace {
 
 // Tags reserved for substrate-owned RNG streams (determinism invariant #8):
-// the root is forked from the run seed, then churn phases and per-round CSI
-// error fork from the root. None of these collide with the worker
+// the root is forked from the run seed, then churn phases and the CSI error
+// key fork from the root. None of these collide with the worker
 // (1000 + i), model (0x1717), fading, or cohort-sampling derivations.
 constexpr std::uint64_t kSubstrateTag = 0x5B57247E;  // "SUBSTRATE"
 constexpr std::uint64_t kChurnTag = 1;
@@ -73,20 +76,22 @@ std::string substrate_kind(const SubstrateOptions& opts) {
 }
 
 // ---------------------------------------------------------------------------
+// Substrate
+
+std::vector<double> Substrate::gains(std::size_t round) const {
+  obs::Span span("substrate", "substrate.gains");
+  std::vector<double> h(num_workers());
+  for (std::size_t i = 0; i < h.size(); ++i) h[i] = gain(i, round);
+  return h;
+}
+
+// ---------------------------------------------------------------------------
 // StaticSubstrate
 
 StaticSubstrate::StaticSubstrate(std::size_t num_workers,
                                  const channel::FadingChannel::Config& fading,
                                  const channel::LatencyConfig& latency)
     : n_(num_workers), fading_(num_workers, fading), latency_(latency) {}
-
-const std::vector<double>& StaticSubstrate::true_gains(std::size_t round) {
-  if (gains_round_ != round || gains_cache_.empty()) {
-    gains_cache_ = fading_.gains(round);
-    gains_round_ = round;
-  }
-  return gains_cache_;
-}
 
 double StaticSubstrate::aircomp_upload_seconds(std::size_t q, double /*time*/) const {
   return latency_.aircomp_upload_seconds(q);
@@ -120,35 +125,28 @@ RealismSubstrate::RealismSubstrate(std::size_t num_workers,
   if (opts_.csi_error) csi_seed_ = root.fork(kCsiTag).seed();
 }
 
-void RealismSubstrate::ensure_csi(std::size_t round) {
-  if (csi_round_ == round && !reported_.empty()) return;
-  const std::vector<double>& truth = true_gains(round);
-  reported_.resize(truth.size());
-  scales_.resize(truth.size());
-  // One substrate-owned stream per (csi seed, round); worker order fixed, so
-  // the draw sequence is independent of which workers end up participating.
-  util::Rng rng(util::splitmix64(csi_seed_ ^ (round * 0x9E3779B97F4A7C15ULL)));
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    // Clamp the relative error so a wild draw cannot flip the estimate's
-    // sign or drive the pre-equalization divisor towards zero.
-    double factor = 1.0 + rng.normal(0.0, opts_.csi_error_std);
-    if (factor < 0.1) factor = 0.1;
-    reported_[i] = truth[i] * factor;
-    scales_[i] = truth[i] / reported_[i];
-  }
-  csi_round_ = round;
+double RealismSubstrate::csi_factor(std::size_t worker, std::size_t round) const {
+  // Box-Muller on two uniforms keyed on (csi seed, round, worker): a fixed
+  // two draws per factor, so each is O(1) and independent of which other
+  // workers are queried.
+  const std::uint64_t key = util::keyed_bits(util::keyed_bits(csi_seed_, round), worker);
+  const double u1 = util::unit_open0(util::keyed_bits(key, 0));
+  const double u2 = util::unit_open0(util::keyed_bits(key, 1));
+  const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
+  // Clamp the relative error so a wild draw cannot flip the estimate's
+  // sign or drive the pre-equalization divisor towards zero.
+  return std::max(0.1, 1.0 + opts_.csi_error_std * z);
 }
 
-const std::vector<double>& RealismSubstrate::gains(std::size_t round) {
-  if (!opts_.csi_error) return true_gains(round);
-  ensure_csi(round);
-  return reported_;
+double RealismSubstrate::gain(std::size_t worker, std::size_t round) const {
+  const double truth = fading_model().gain(worker, round);
+  return opts_.csi_error ? truth * csi_factor(worker, round) : truth;
 }
 
-std::span<const double> RealismSubstrate::csi_scales(std::size_t round) {
-  if (!opts_.csi_error) return {};
-  ensure_csi(round);
-  return scales_;
+double RealismSubstrate::csi_scale(std::size_t worker, std::size_t round) const {
+  if (!opts_.csi_error) return 1.0;
+  const double truth = fading_model().gain(worker, round);
+  return truth / (truth * csi_factor(worker, round));
 }
 
 bool RealismSubstrate::available(std::size_t worker, double time) const {

@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -37,7 +36,8 @@ struct SubstrateOptions {
   double energy_oma_upload = 1.0;  ///< flat J per OMA upload
 
   /// Imperfect-CSI generator: the parameter server's channel estimate is
-  /// h_hat = h * (1 + eps), eps ~ N(0, csi_error_std) per (worker, round).
+  /// h_hat = h * (1 + eps), eps ~ N(0, csi_error_std) drawn independently
+  /// per (worker, round) (the factor 1 + eps is clamped at 0.1).
   /// Power control and pre-equalization use h_hat; the over-the-air
   /// superposition then carries the residual factor h / h_hat per worker
   /// (the multiplicative MAC mismatch of imperfect CSI).
@@ -73,13 +73,14 @@ void set_substrate_kind(SubstrateOptions& opts, const std::string& kind);
 /// Contract for generator implementations:
 ///  - Every query is answered on the simulation thread, in event order;
 ///    queries with the same arguments between two mutations (charge) return
-///    identical values. gains()/csi_scales() are pure functions of
-///    (substrate seeds, round); available()/next_transition() are pure
-///    functions of (substrate seeds, time). State therefore never depends
-///    on lane count or event-queue backend.
+///    identical values. gain()/csi_scale() are O(1) pure functions of
+///    (substrate seeds, worker, round) — counter-keyed draws, so a round
+///    reads only the workers it aggregates; available()/next_transition()
+///    are pure functions of (substrate seeds, time). State therefore never
+///    depends on lane count, event-queue backend, or query order.
 ///  - Determinism invariant #8 (docs/ARCHITECTURE.md): substrate queries
-///    consume only substrate-owned RNG streams — the fading stream and the
-///    churn/CSI streams forked from the run seed with substrate-reserved
+///    consume only substrate-owned RNG streams — the fading key and the
+///    churn stream / CSI key forked from the run seed with substrate-reserved
 ///    tags. No query may touch the weight, partition, or worker streams.
 class Substrate {
  public:
@@ -88,15 +89,21 @@ class Substrate {
   [[nodiscard]] virtual std::size_t num_workers() const = 0;
 
   // -- channel state ----------------------------------------------------
-  /// Per-worker channel gains as the parameter server estimates them for
-  /// `round` (h_hat); what power control and pre-equalization use. Cached
-  /// per round; the reference is valid until the next gains() call.
-  virtual const std::vector<double>& gains(std::size_t round) = 0;
+  /// Channel gain of `worker` at `round` as the parameter server estimates
+  /// it (h_hat); what power control and pre-equalization use. O(1).
+  [[nodiscard]] virtual double gain(std::size_t worker, std::size_t round) const = 0;
 
-  /// Per-worker multiplicative MAC factors h / h_hat for `round`; an empty
-  /// span means perfect CSI (the AirComp channel then skips the mismatch
-  /// term entirely). Valid until the next csi_scales() call.
-  virtual std::span<const double> csi_scales(std::size_t round) = 0;
+  /// Every worker's gain(w, round), for whole-population scans (Dynamic's
+  /// quantile selection). O(N).
+  [[nodiscard]] std::vector<double> gains(std::size_t round) const;
+
+  /// True when the estimates carry CSI error; false means perfect CSI and
+  /// the AirComp channel skips the mismatch term entirely.
+  [[nodiscard]] virtual bool imperfect_csi() const = 0;
+
+  /// Multiplicative MAC factor h / h_hat of `worker` at `round` (1 under
+  /// perfect CSI). O(1).
+  [[nodiscard]] virtual double csi_scale(std::size_t worker, std::size_t round) const = 0;
 
   // -- upload latency ---------------------------------------------------
   /// AirComp upload duration (Eq. 33) for a q-parameter model, queried at
@@ -147,17 +154,21 @@ class Substrate {
 
 /// The static generator: an adapter over the classic per-run
 /// FadingChannel + LatencyModel pair. Always available, infinite energy,
-/// perfect CSI; gains(round) caches the latest round's Rayleigh draw
-/// exactly like the pre-substrate driver did, so every digest is
-/// bit-identical to pre-refactor goldens.
+/// perfect CSI; gain(worker, round) is the channel's counter-keyed
+/// Rayleigh draw, so the estimate is the true gain.
 class StaticSubstrate : public Substrate {
  public:
   StaticSubstrate(std::size_t num_workers, const channel::FadingChannel::Config& fading,
                   const channel::LatencyConfig& latency);
 
   [[nodiscard]] std::size_t num_workers() const override { return n_; }
-  const std::vector<double>& gains(std::size_t round) override { return true_gains(round); }
-  std::span<const double> csi_scales(std::size_t /*round*/) override { return {}; }
+  [[nodiscard]] double gain(std::size_t worker, std::size_t round) const override {
+    return fading_.gain(worker, round);
+  }
+  [[nodiscard]] bool imperfect_csi() const override { return false; }
+  [[nodiscard]] double csi_scale(std::size_t /*worker*/, std::size_t /*round*/) const override {
+    return 1.0;
+  }
   [[nodiscard]] double aircomp_upload_seconds(std::size_t q, double time) const override;
   [[nodiscard]] double oma_upload_seconds(std::size_t q, std::size_t uploaders,
                                           double time) const override;
@@ -175,36 +186,31 @@ class StaticSubstrate : public Substrate {
   [[nodiscard]] std::size_t depleted_count() const override { return 0; }
   [[nodiscard]] bool time_varying() const override { return false; }
 
-  /// The inner fading model (tests and planning-time inspection).
+  /// The inner fading model: the true gains h that realism generators
+  /// layer estimate noise on (also tests and planning-time inspection).
   [[nodiscard]] const channel::FadingChannel& fading_model() const { return fading_; }
-
- protected:
-  /// The true per-round gains h with the classic latest-round cache;
-  /// realism generators layer estimate noise on top of this.
-  const std::vector<double>& true_gains(std::size_t round);
 
  private:
   std::size_t n_;
   channel::FadingChannel fading_;
   channel::LatencyModel latency_;
-  std::size_t gains_round_ = static_cast<std::size_t>(-1);
-  std::vector<double> gains_cache_;
 };
 
 /// The realism generators — churn, energy, csi_error — layered over the
 /// static adapter, each independently gated by its SubstrateOptions flag.
-/// All randomness comes from two substrate-owned streams forked from the
-/// run seed (churn phases; per-round CSI error), so every trajectory is a
-/// deterministic function of (scenario, seed) regardless of lane count or
-/// queue backend.
+/// All randomness is substrate-owned and derived from the run seed (a
+/// churn-phase stream; CSI error keyed per (worker, round)), so every
+/// trajectory is a deterministic function of (scenario, seed) regardless
+/// of lane count or queue backend.
 class RealismSubstrate : public StaticSubstrate {
  public:
   RealismSubstrate(std::size_t num_workers, const channel::FadingChannel::Config& fading,
                    const channel::LatencyConfig& latency, const SubstrateOptions& opts,
                    std::uint64_t run_seed);
 
-  const std::vector<double>& gains(std::size_t round) override;
-  std::span<const double> csi_scales(std::size_t round) override;
+  [[nodiscard]] double gain(std::size_t worker, std::size_t round) const override;
+  [[nodiscard]] bool imperfect_csi() const override { return opts_.csi_error; }
+  [[nodiscard]] double csi_scale(std::size_t worker, std::size_t round) const override;
   [[nodiscard]] bool available(std::size_t worker, double time) const override;
   [[nodiscard]] double next_transition(std::size_t worker, double time) const override;
   [[nodiscard]] bool depleted(std::size_t worker) const override;
@@ -217,18 +223,14 @@ class RealismSubstrate : public StaticSubstrate {
   [[nodiscard]] const SubstrateOptions& options() const { return opts_; }
 
  private:
-  void ensure_csi(std::size_t round);
+  /// The estimate factor 1 + eps of `worker` at `round`, clamped at 0.1.
+  [[nodiscard]] double csi_factor(std::size_t worker, std::size_t round) const;
 
   SubstrateOptions opts_;
   std::uint64_t csi_seed_ = 0;
   std::vector<double> phase_;      ///< [worker] churn wave phase offset (s)
   std::vector<double> remaining_;  ///< [worker] energy budget left (J)
   std::size_t depleted_count_ = 0;
-  // Per-round CSI cache, refreshed together: the reported estimates
-  // h_hat = h * (1 + eps) and the MAC factors h / h_hat.
-  std::size_t csi_round_ = static_cast<std::size_t>(-1);
-  std::vector<double> reported_;
-  std::vector<double> scales_;
 };
 
 /// Builds the substrate for a run: the static adapter when no generator is

@@ -1,8 +1,10 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <unordered_set>
 
 namespace airfedga::util {
 
@@ -61,6 +63,41 @@ void Rng::sample_without_replacement(std::size_t n, std::size_t k, std::vector<s
   std::iota(out.begin(), out.end(), std::size_t{0});
   shuffle(out);
   out.resize(k);
+}
+
+std::uint64_t Rng::bounded(std::uint64_t range) {
+  if (range == 0) throw std::invalid_argument("Rng::bounded: empty range");
+  using u128 = unsigned __int128;
+  u128 m = static_cast<u128>(engine_()) * range;
+  auto low = static_cast<std::uint64_t>(m);
+  if (low < range) {
+    // Reject the (2^64 mod range) low words that would over-weight some
+    // results; the threshold costs a division only on this rare path.
+    const std::uint64_t threshold = (0 - range) % range;
+    while (low < threshold) {
+      m = static_cast<u128>(engine_()) * range;
+      low = static_cast<std::uint64_t>(m);
+    }
+  }
+  return static_cast<std::uint64_t>(m >> 64);
+}
+
+void Rng::sample_sorted(std::size_t n, std::size_t k, std::vector<std::size_t>& out) {
+  if (k > n) throw std::invalid_argument("sample_sorted: k > n");
+  // Floyd: for j = n-k .. n-1 draw t in [0, j]; take t unless already
+  // taken, else take j (which no earlier step could have drawn). Every
+  // k-subset comes out equally likely.
+  std::unordered_set<std::size_t> taken;
+  taken.reserve(k);
+  out.clear();
+  out.reserve(k);
+  for (std::size_t j = n - k; j < n; ++j) {
+    const auto t = static_cast<std::size_t>(bounded(static_cast<std::uint64_t>(j) + 1));
+    const std::size_t pick = taken.contains(t) ? j : t;
+    taken.insert(pick);
+    out.push_back(pick);
+  }
+  std::sort(out.begin(), out.end());
 }
 
 }  // namespace airfedga::util

@@ -57,6 +57,17 @@ class Rng {
   /// steady capacity; identical draws to the allocating overload).
   void sample_without_replacement(std::size_t n, std::size_t k, std::vector<std::size_t>& out);
 
+  /// Uniform integer in [0, range), range > 0: Lemire's unbiased
+  /// multiply-shift method on raw engine words. Unlike the std
+  /// distributions its output is specified here, so it is the same under
+  /// every standard library.
+  std::uint64_t bounded(std::uint64_t range);
+
+  /// `k` distinct indices from [0, n), sorted ascending, by Floyd's
+  /// algorithm: exactly k bounded() draws and O(k log k) work, independent
+  /// of n. Throws std::invalid_argument when k > n.
+  void sample_sorted(std::size_t n, std::size_t k, std::vector<std::size_t>& out);
+
   /// Seed this generator was constructed with.
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
@@ -70,5 +81,18 @@ class Rng {
 
 /// SplitMix64 mixing step; used for seed derivation.
 std::uint64_t splitmix64(std::uint64_t x);
+
+/// Counter-based draw: 64 random bits that are a pure function of
+/// (key, counter). Values indexed by (worker, round) chain two calls, so
+/// any one of them costs O(1) and needs no stream history.
+inline std::uint64_t keyed_bits(std::uint64_t key, std::uint64_t counter) {
+  return splitmix64(key ^ splitmix64(counter));
+}
+
+/// Maps 64 random bits to a double uniform on (0, 1] (the top 53 bits, so
+/// the result is never 0 and a logarithm of it is always finite).
+inline double unit_open0(std::uint64_t bits) {
+  return static_cast<double>((bits >> 11) + 1) * 0x1.0p-53;
+}
 
 }  // namespace airfedga::util

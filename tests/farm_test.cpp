@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -48,15 +49,42 @@ std::vector<ScenarioSpec> tiny_variants() {
   return expand_sweeps(tiny_spec(), {{"run.seed", {Json(1), Json(2), Json(3)}}});
 }
 
+/// Death tests run in the "threadsafe" style: the child re-executes this
+/// binary and replays the test up to its EXPECT_EXIT, instead of forking a
+/// process that may still hold farm or pool threads.
+void use_threadsafe_death_tests() {
+#ifdef GTEST_FLAG_SET
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+#endif
+}
+
+/// Process tag of the test run: the top-level process's pid, handed down to
+/// death-test children through the environment so they resolve the same
+/// directories as their parent.
+const std::string& run_tag() {
+  static const std::string tag = [] {
+    constexpr const char* kVar = "AIRFEDGA_FARM_TEST_TAG";
+    if (const char* inherited = std::getenv(kVar)) return std::string(inherited);
+    const std::string own = std::to_string(::getpid());
+    ::setenv(kVar, own.c_str(), 0);
+    return own;
+  }();
+  return tag;
+}
+
+std::size_t g_next_dir = 0;  ///< per-test TempDir counter (reset in SetUp)
+
+/// A scratch directory named by (run tag, test name, creation order), so a
+/// death-test child replaying the test reaches the parent's directories.
 struct TempDir {
-  static std::size_t next_id() {
-    static std::size_t id = 0;
-    return id++;
-  }
   fs::path path;
-  TempDir() : path(fs::temp_directory_path() /
-                   ("airfedga_farm_test_" + std::to_string(::getpid()) + "_" +
-                    std::to_string(next_id()))) {
+  TempDir()
+      : path(fs::temp_directory_path() /
+             ("airfedga_farm_test_" + run_tag() + "_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+              std::to_string(g_next_dir++))) {
     fs::remove_all(path);
   }
   ~TempDir() { fs::remove_all(path); }
@@ -100,6 +128,8 @@ WriteOptions no_timing() {
 class FarmTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    use_threadsafe_death_tests();
+    g_next_dir = 0;
     util::fault::disarm_all();
     farm_clear_stop();
   }

@@ -15,7 +15,15 @@ namespace {
 /// spec would fire in an unrelated later test.
 class FaultTest : public ::testing::Test {
  protected:
-  void SetUp() override { disarm_all(); }
+  void SetUp() override {
+    // The kill test's child re-executes this binary rather than forking.
+#ifdef GTEST_FLAG_SET
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+#else
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+#endif
+    disarm_all();
+  }
   void TearDown() override { disarm_all(); }
 };
 

@@ -95,6 +95,22 @@ TEST(Population, EagerAndLazyDigestsMatchAt100k) {
   }
 }
 
+// Golden digests of cohort-sampled runs at N = 1e5 (lazy state, calendar
+// queue, cohort_size 32). They pin the draw order of Floyd cohort sampling
+// and, for Air-FedAvg, of the counter-keyed fading gains, which the small
+// fixtures of loop_test never sample. Like every golden they depend on the
+// ISA's FP contraction, so they are checked on x86-64 only.
+TEST(Population, CohortSampledRunsMatchTheirGoldensAt100k) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "golden digests are x86-64-specific (FP contraction)";
+#else
+  EXPECT_EQ(run_digest(pop_spec(100000, 100, "lazy", "calendar", 2, 32, "fedavg")),
+            "621b18b45269759e");
+  EXPECT_EQ(run_digest(pop_spec(100000, 100, "lazy", "calendar", 2, 32, "airfedavg")),
+            "bc1cb07847ccd96e");
+#endif
+}
+
 TEST(Population, LazyDigestsInvariantAcrossThreadsAndBackends) {
   const std::string reference = run_digest(pop_spec(100000, 100, "lazy", "heap", 1, 32));
   for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
